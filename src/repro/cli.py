@@ -46,7 +46,12 @@ from repro.asm import format_program, parse_program
 from repro.compiler import compile_source
 from repro.core import Machine, Outcome, RegZap
 from repro.core.errors import ReproError
-from repro.injection import CampaignConfig, ResilienceConfig, run_campaign
+from repro.injection import (
+    CampaignConfig,
+    ReferenceDidNotHalt,
+    ResilienceConfig,
+    run_campaign,
+)
 from repro.simulator import DEFAULT_CONFIG, RELAXED_CONFIG, simulate
 from repro.types import TypeCheckError
 
@@ -213,6 +218,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         prune=not args.no_prune,
         prune_audit=args.prune_audit,
+        max_steps=args.max_steps,
     )
     resilience = None
     if args.chunk_timeout is not None or args.max_retries is not None:
@@ -222,19 +228,26 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         if args.max_retries is not None:
             kwargs["max_retries"] = args.max_retries
         resilience = ResilienceConfig(**kwargs)
-    if args.shards is not None:
-        from repro.service import run_campaign_sharded
+    try:
+        if args.shards is not None:
+            from repro.service import run_campaign_sharded
 
-        report = run_campaign_sharded(
-            compiled.program, config, shards=args.shards, workers=workers,
-            backend=args.backend, journal_path=args.journal,
-            resume=args.resume, resilience=resilience,
-            progress=getattr(args, "progress", False), authkey=authkey)
-    else:
-        report = run_campaign(compiled.program, config, backend=args.backend,
-                              journal_path=args.journal, resume=args.resume,
-                              resilience=resilience,
-                              progress=getattr(args, "progress", False))
+            report = run_campaign_sharded(
+                compiled.program, config, shards=args.shards,
+                workers=workers, backend=args.backend,
+                journal_path=args.journal, resume=args.resume,
+                resilience=resilience,
+                progress=getattr(args, "progress", False), authkey=authkey)
+        else:
+            report = run_campaign(
+                compiled.program, config, backend=args.backend,
+                journal_path=args.journal, resume=args.resume,
+                resilience=resilience,
+                progress=getattr(args, "progress", False))
+    except ReferenceDidNotHalt as error:
+        print(f"error: {error}; raise --max-steps if the program "
+              "terminates", file=sys.stderr)
+        return 2
     print(report.summary())
     if report.resilience is not None \
             and any(report.resilience.as_dict().values()):
@@ -588,6 +601,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="reference-run steps between state "
                                "checkpoints; injection points in between "
                                "are rebuilt by deterministic replay")
+    campaign.add_argument("--max-steps",
+                          type=_int_at_least(1, "--max-steps"),
+                          default=CampaignConfig.max_steps,
+                          help="step cap on the fault-free reference run "
+                               "(default %(default)s); programs that run "
+                               "longer need a higher cap")
     campaign.add_argument("--stride",
                           type=_int_at_least(1, "--stride"), default=1,
                           help="inject at every k-th dynamic step before "

@@ -5,6 +5,7 @@ from repro.injection.campaign import (
     CampaignReport,
     FaultResult,
     InjectionRecord,
+    ReferenceDidNotHalt,
     ReferenceRun,
     classify,
     classify_tail,
@@ -62,6 +63,7 @@ __all__ = [
     "FaultResult",
     "InjectionRecord",
     "JournalMismatch",
+    "ReferenceDidNotHalt",
     "ReferenceRun",
     "ResilienceConfig",
     "ResilienceStats",

@@ -41,7 +41,6 @@ from repro.core.faults import (
 from repro.core.machine import Machine, Outcome, Trace
 from repro.core.registers import PC_B, PC_G
 from repro.core.state import MachineState
-from repro.exec import run_compiled
 from repro.exec.vector import (
     FALLBACK_REASONS,
     LaneBatch,
@@ -88,7 +87,11 @@ def run_step_batch(
     equal to the scalar loop's -- or ``None`` when the step cannot be
     vectorized and the caller must run it scalar.
     """
-    from repro.injection.campaign import FaultResult, classify_tail
+    from repro.injection.campaign import (
+        FaultResult,
+        classify_tail,
+        run_faulty_compiled,
+    )
 
     if not vector_available() or not faults:
         return None
@@ -131,7 +134,8 @@ def run_step_batch(
         faulty = base.clone()
         apply_fault(faulty, fault)
         if compiled is not None:
-            trace = run_compiled(faulty, compiled, max_steps=budget)
+            trace = run_faulty_compiled(faulty, compiled, reference, s,
+                                        budget)
         else:
             trace = Machine(faulty, oob_policy=oob_policy,
                             backend="step").run(max_steps=budget)
@@ -212,8 +216,8 @@ def run_step_batch(
         divergences[reason] = divergences.get(reason, 0) + 1
         col = vector_cols[lane]
         if compiled is not None:
-            trace = run_compiled(state, compiled,
-                                 max_steps=budget - (t - s))
+            trace = run_faulty_compiled(state, compiled, reference, t,
+                                        budget - (t - s))
         else:
             trace = Machine(state, oob_policy=oob_policy,
                             backend="step").run(max_steps=budget - (t - s))

@@ -461,6 +461,19 @@ def _reference_run(program: Program, config: CampaignConfig) -> ReferenceRun:
                         oob_policy, compiled)
 
 
+class ReferenceDidNotHalt(ValueError):
+    """The fault-free reference run did not halt within ``max_steps``."""
+
+
+def require_halted(reference: ReferenceRun, config: CampaignConfig) -> None:
+    """Raise :class:`ReferenceDidNotHalt` unless the reference run halted."""
+    if reference.trace.outcome is not Outcome.HALTED:
+        raise ReferenceDidNotHalt(
+            f"reference run did not halt ({reference.trace.outcome.value} "
+            f"after {reference.trace.steps} steps, max_steps="
+            f"{config.max_steps}); campaigns need terminating programs")
+
+
 def _injection_steps(total: int, config: CampaignConfig) -> List[int]:
     """The dynamic steps a campaign injects at, evenly sampled.
 
@@ -535,6 +548,72 @@ def _enumerate_step_faults(
     return faults
 
 
+#: Reconvergence schedule for compiled faulty runs: the first comparison
+#: with the reference falls on the first checkpoint at least this many
+#: steps after the run's start, and each later gap is twice the one
+#: before it, so a run that never reconverges pays O(log n) comparisons.
+RECONVERGE_FIRST_CHECK = 128
+
+
+def run_faulty_compiled(
+    state: MachineState,
+    compiled: CompiledExec,
+    reference: ReferenceRun,
+    start: int,
+    budget: int,
+) -> Trace:
+    """Run the faulty ``state``, taken at reference step ``start``, to its end.
+
+    Returns exactly what ``run_compiled(state, compiled,
+    max_steps=budget)`` returns, but executes the run in segments that
+    end on reference checkpoint boundaries.  At each boundary the faulty
+    state is compared with the reference checkpoint of the same step.
+    When they are equal, the rest of the run *is* the reference run (the
+    semantics is deterministic), so the trace is completed from the
+    reference instead of replayed: it halts ``ref_steps - start`` steps
+    after ``start``, with the outputs emitted so far followed by the
+    reference's outputs from the boundary on.  Outputs emitted before
+    reconvergence are kept, so classification is unchanged: a run that
+    commits a wrong output and then reconverges is still a silent
+    corruption.
+    """
+    checkpoints = reference.checkpoints
+    interval = reference.interval
+    ref_steps = reference.trace.steps
+    # Ceiling division: the first checkpoint at or after the first check.
+    index = -(-(start + RECONVERGE_FIRST_CHECK) // interval)
+    if index >= len(checkpoints) or budget < ref_steps - start:
+        # Short runs (and budgets a full replay could exhaust) run as one
+        # plain segment.
+        return run_compiled(state, compiled, max_steps=budget)
+    outputs: List[Tuple[int, int]] = []
+    done = 0
+    gap = RECONVERGE_FIRST_CHECK
+    while index < len(checkpoints):
+        boundary = index * interval
+        trace = run_compiled(state, compiled,
+                             max_steps=boundary - start - done,
+                             outputs=outputs)
+        done += trace.steps
+        if trace.outcome is not Outcome.RUNNING:
+            return Trace(trace.outcome, outputs, done)
+        # Cheapest fields first.
+        checkpoint = checkpoints[index]
+        if state.ir == checkpoint.ir \
+                and state.regs._regs == checkpoint.regs._regs \
+                and state.queue._pairs == checkpoint.queue._pairs \
+                and state.memory == checkpoint.memory:
+            get_registry().counter("campaign_reconverged_total").inc()
+            outputs.extend(reference.trace.outputs[
+                reference.outputs_before[boundary]:])
+            return Trace(Outcome.HALTED, outputs, ref_steps - start)
+        gap *= 2
+        index = -(-(boundary + gap) // interval)
+    trace = run_compiled(state, compiled, max_steps=budget - done,
+                         outputs=outputs)
+    return Trace(trace.outcome, outputs, done + trace.steps)
+
+
 def _run_faults(
     program: Program,
     config: CampaignConfig,
@@ -572,7 +651,8 @@ def _run_faults(
         faulty = base.clone()
         apply_fault(faulty, fault)
         if compiled is not None:
-            trace = run_compiled(faulty, compiled, max_steps=budget)
+            trace = run_faulty_compiled(faulty, compiled, reference,
+                                        step_index, budget)
         else:
             trace = Machine(faulty, oob_policy=oob_policy,
                             backend="step").run(max_steps=budget)
@@ -746,11 +826,7 @@ def run_campaign(
 
     with phase_timer("campaign.reference"):
         reference = _reference_run(program, config)
-    if reference.trace.outcome is not Outcome.HALTED:
-        raise ValueError(
-            f"reference run did not halt ({reference.trace.outcome}); "
-            "campaigns need terminating programs"
-        )
+    require_halted(reference, config)
     budget = reference.trace.steps + config.step_slack
     steps = _injection_steps(reference.num_steps, config)
     report = CampaignReport(reference=reference.trace)

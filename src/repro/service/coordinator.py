@@ -56,6 +56,7 @@ from repro.injection.campaign import (
     _injection_steps,
     _reference_run,
     _run_step,
+    require_halted,
     resolve_backend_config,
 )
 from repro.injection.chaos import ChaosSpec
@@ -78,7 +79,6 @@ from repro.injection.shard import (
     plan_shards,
 )
 from repro.observe import ProgressReporter, emit, get_registry, phase_timer
-from repro.core.machine import Outcome
 from repro.program import Program
 from repro.service.protocol import (
     Connection,
@@ -197,10 +197,7 @@ def run_campaign_sharded(
 
     with phase_timer("campaign.reference"):
         reference = _reference_run(program, config)
-    if reference.trace.outcome is not Outcome.HALTED:
-        raise ValueError(
-            f"reference run did not halt ({reference.trace.outcome}); "
-            "campaigns need terminating programs")
+    require_halted(reference, config)
     budget = reference.trace.steps + config.step_slack
     steps = _injection_steps(reference.num_steps, config)
     total = len(steps)

@@ -115,6 +115,7 @@ class TestCampaignValidation:
         ("--shards", "0"),
         ("--shards", "-2"),
         ("--shards", "four"),
+        ("--max-steps", "0"),
     ])
     def test_bad_values_exit_2(self, flag, value, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -122,6 +123,23 @@ class TestCampaignValidation:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert flag in err and "must be" in err
+
+    def test_reference_past_max_steps_exit_2(self, capsys):
+        """A reference run longer than --max-steps is a usage error that
+        names the flag, not a traceback."""
+        from repro.compiler import compile_source
+        from repro.core import Machine
+
+        with open(DOT_MWL) as handle:
+            program = compile_source(handle.read(), mode="ft").program
+        steps = Machine(program.boot()).run(max_steps=1_000_000).steps
+        assert main(["campaign", DOT_MWL, "--samples", "2",
+                     "--max-steps", str(steps - 1)]) == 2
+        err = capsys.readouterr().err
+        assert "did not halt" in err and "--max-steps" in err
+        assert "Traceback" not in err
+        assert main(["campaign", DOT_MWL, "--samples", "2",
+                     "--max-steps", str(steps)]) == 0
 
     def test_resume_requires_journal(self, capsys):
         assert main(["campaign", DOT_MWL, "--samples", "4",

@@ -27,7 +27,9 @@ from repro.exec import (
     trace_events_compiled,
 )
 from repro.injection import CampaignConfig, run_campaign
+from repro.injection import prune as _prune
 from repro.injection.multifault import run_multifault_campaign
+from repro.observe import MetricsRegistry, set_registry
 from repro.workloads import ALL_KERNELS, compile_kernel
 
 #: The shortest-running kernel (loads, stores, arithmetic and both
@@ -177,21 +179,46 @@ def test_trace_execution_backend_param():
 
 
 def test_campaign_report_parity():
-    """Bit-identical campaign reports, incl. per-record diagnostics."""
-    program = _program("vpr")
-    config = CampaignConfig(max_injection_steps=12, max_values_per_site=2,
-                            max_sites_per_step=6, seed=321,
-                            keep_records=True)
-    reports = [run_campaign(program, config, backend=backend)
-               for backend in ("step", "compiled")]
-    first, second = reports
-    assert first.injections == second.injections
-    assert first.counts == second.counts
-    assert first.violations == second.violations
-    assert len(first.records) == len(second.records)
-    for a, b in zip(first.records, second.records):
-        assert (a.step, a.fault, a.result, a.latency) == \
-            (b.step, b.fault, b.result, b.latency)
+    """Bit-identical campaign reports, incl. per-record diagnostics.
+
+    Covers FT and baseline builds, pruned and unpruned.  The compiled
+    backend settles most of these faulty runs at reconvergence with the
+    reference (the ``step`` backend replays every run to its end), so
+    the comparison also pins that early exit.
+    """
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        for mode in ("ft", "baseline"):
+            program = _program("vpr", mode)
+            for prune in (True, False):
+                config = CampaignConfig(
+                    max_injection_steps=12, max_values_per_site=2,
+                    max_sites_per_step=6, seed=321, keep_records=True,
+                    prune=prune)
+                reports = []
+                settled = []
+                reconverged = registry.counter("campaign_reconverged_total")
+                for backend in ("step", "compiled"):
+                    # A warm outcome memo would copy one backend's
+                    # outcomes into the other's report.
+                    _prune._MEMO_TABLES.clear()
+                    before = reconverged.value
+                    reports.append(
+                        run_campaign(program, config, backend=backend))
+                    settled.append(reconverged.value - before)
+                assert settled[0] == 0 and settled[1] > 0, (mode, prune)
+                first, second = reports
+                assert first.injections == second.injections
+                assert first.counts == second.counts
+                assert first.violations == second.violations
+                assert len(first.records) == len(second.records)
+                for a, b in zip(first.records, second.records):
+                    assert (a.step, a.fault, a.result, a.outputs,
+                            a.latency) == \
+                        (b.step, b.fault, b.result, b.outputs, b.latency)
+    finally:
+        set_registry(previous)
 
 
 def test_unknown_backend_rejected():

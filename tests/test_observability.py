@@ -269,6 +269,21 @@ class TestCampaignInstrumentation:
                                   buckets=STEPS_BUCKETS)
         assert hist.count == report.detected
 
+    def test_reconverged_count_repeats_between_serial_runs(self, registry):
+        from repro.injection import prune
+        from repro.workloads import compile_kernel
+
+        program = compile_kernel("vpr", "ft").program
+        counts = []
+        for _ in range(2):
+            run_registry = MetricsRegistry()
+            set_registry(run_registry)
+            prune._MEMO_TABLES.clear()
+            run_campaign(program, self.CONFIG)
+            counts.append(
+                run_registry.counter("campaign_reconverged_total").value)
+        assert counts[0] == counts[1] > 0
+
     def test_report_is_bit_identical_with_metrics_disabled(self, registry):
         program = paper_store_program()
         instrumented = run_campaign(program, self.CONFIG)
