@@ -46,6 +46,19 @@ def geomean(values: Sequence[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
+def make_cold() -> None:
+    """Clear every cache a campaign fills, so the next run starts cold:
+    exec compilations, normalization caches and the prune outcome memo
+    (a warm memo settles repeated faults without executing them)."""
+    from repro.exec import clear_exec_caches
+    from repro.injection import prune
+    from repro.statics.normalize import clear_normalization_caches
+
+    clear_exec_caches()
+    clear_normalization_caches()
+    prune._MEMO_TABLES.clear()
+
+
 def emit_table(name: str, lines: Iterable[str]) -> None:
     """Print a result table to the terminal and save it under results/."""
     text = "\n".join(lines)

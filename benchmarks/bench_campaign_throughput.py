@@ -71,17 +71,15 @@ from repro.core.machine import Outcome, Trace
 from repro.core.registers import DEST, PC_B, PC_G
 from repro.core.semantics import OobPolicy, StepResult
 from repro.core.state import Status
-from repro.exec import BACKENDS, clear_exec_caches
+from repro.exec import BACKENDS
 from repro.exec.vector import vector_available
 from repro.injection import CampaignConfig, run_campaign
 from repro.injection.campaign import CampaignReport, classify
 from repro.injection.chaos import report_fingerprint
-from repro.injection import prune as _prune
 from repro.injection.values import representative_values, with_value
-from repro.statics.normalize import clear_normalization_caches
 from repro.workloads import compile_kernel
 
-from _bench_utils import emit_json, emit_table, format_row
+from _bench_utils import emit_json, emit_table, format_row, make_cold
 
 #: The sampled campaign every engine runs (mirrors bench_fault_coverage).
 #: ``prune=False`` keeps each backend row measuring raw execution speed;
@@ -340,20 +338,11 @@ def seed_run_campaign(program, config) -> CampaignReport:
 # ---------------------------------------------------------------------------
 
 
-def _cold() -> None:
-    """Clear every cache a campaign fills, so the next run starts cold:
-    exec compilations, normalization caches and the prune outcome memo
-    (a warm memo settles repeated faults without executing them)."""
-    clear_exec_caches()
-    clear_normalization_caches()
-    _prune._MEMO_TABLES.clear()
-
-
 def _timed(runner, reps: int = 1):
     runner()  # warm up (imports, pool forks)
     best = float("inf")
     for _ in range(reps):
-        _cold()
+        make_cold()
         start = time.perf_counter()
         report = runner()
         best = min(best, time.perf_counter() - start)
@@ -367,13 +356,13 @@ def _timed_interleaved(runners, reps: int):
     drift between fast and slow regimes over seconds; interleaving the
     measurements ensures every runner sees the same regimes, so each
     best-of falls in the same (fastest) window.  Every timed run starts
-    cold (:func:`_cold`).
+    cold (:func:`_bench_utils.make_cold`).
     """
     reports = [runner() for runner in runners]  # warm up
     bests = [float("inf")] * len(runners)
     for _ in range(reps):
         for index, runner in enumerate(runners):
-            _cold()
+            make_cold()
             start = time.perf_counter()
             reports[index] = runner()
             bests[index] = min(bests[index], time.perf_counter() - start)

@@ -23,6 +23,11 @@ group-commit instead of hitting the disk per step.
 
 All four reports must be bit-identical; a resilience layer that changed
 a single record would be a correctness bug, not an overhead question.
+
+Every timed run starts cold (exec compilations, normalization caches and
+the prune outcome memo cleared first), and each row also reports the
+parent process's own CPU seconds: for the pool row, the fold and
+bookkeeping the workers leave behind.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from repro.injection import CampaignConfig, run_campaign
 from repro.injection.chaos import report_fingerprint
 from repro.workloads import compile_kernel
 
-from _bench_utils import emit_json, emit_table, format_row
+from _bench_utils import emit_json, emit_table, format_row, make_cold
 
 #: Mirrors bench_campaign_throughput so the baseline row is the PR-3
 #: compiled-backend number.
@@ -50,14 +55,23 @@ _CONFIG = CampaignConfig(
 _MAX_JOURNAL_OVERHEAD = 0.05
 
 
+def _cold_run(runner):
+    """One cold run: ``(report, wall seconds, parent CPU seconds)``."""
+    make_cold()
+    wall, cpu = time.perf_counter(), time.process_time()
+    report = runner()
+    return report, time.perf_counter() - wall, time.process_time() - cpu
+
+
 def _timed(runner, reps: int = 1):
-    runner()  # warm up
-    best = float("inf")
+    """Best-of-``reps`` cold wall time, with that run's parent CPU."""
+    runner()  # warm up (imports, pool forks)
+    best = (None, float("inf"), 0.0)
     for _ in range(reps):
-        start = time.perf_counter()
-        report = runner()
-        best = min(best, time.perf_counter() - start)
-    return report, best
+        result = _cold_run(runner)
+        if result[1] < best[1]:
+            best = result
+    return best
 
 
 def _paired_overhead(baseline_runner, treated_runner, reps: int):
@@ -72,19 +86,16 @@ def _paired_overhead(baseline_runner, treated_runner, reps: int):
     """
     baseline_runner(), treated_runner()  # warm up
     best_ratio = float("inf")
-    baseline_best = treated_best = float("inf")
+    baseline_best = treated_best = (None, float("inf"), 0.0)
     for _ in range(reps):
-        start = time.perf_counter()
-        baseline_report = baseline_runner()
-        baseline_time = time.perf_counter() - start
-        start = time.perf_counter()
-        treated_report = treated_runner()
-        treated_time = time.perf_counter() - start
-        best_ratio = min(best_ratio, treated_time / baseline_time)
-        baseline_best = min(baseline_best, baseline_time)
-        treated_best = min(treated_best, treated_time)
-    return (baseline_report, baseline_best, treated_report, treated_best,
-            best_ratio)
+        baseline = _cold_run(baseline_runner)
+        treated = _cold_run(treated_runner)
+        best_ratio = min(best_ratio, treated[1] / baseline[1])
+        if baseline[1] < baseline_best[1]:
+            baseline_best = baseline
+        if treated[1] < treated_best[1]:
+            treated_best = treated
+    return baseline_best, treated_best, best_ratio
 
 
 def run_resilience_table() -> List[str]:
@@ -96,17 +107,18 @@ def run_resilience_table() -> List[str]:
         # The resume row replays a *complete* journal: write it once.
         run_campaign(program, _CONFIG, jobs=1, journal_path=resume_path)
 
-        (plain_report, plain_time, journal_report, journal_time,
+        ((plain_report, plain_time, plain_cpu),
+         (journal_report, journal_time, journal_cpu),
          journal_ratio) = _paired_overhead(
             lambda: run_campaign(program, _CONFIG, jobs=1),
             lambda: run_campaign(program, _CONFIG, jobs=1,
                                  journal_path=journal_path),
             reps=7)
-        resume_report, resume_time = _timed(
+        resume_report, resume_time, resume_cpu = _timed(
             lambda: run_campaign(program, _CONFIG, jobs=1,
                                  journal_path=resume_path, resume=True),
             reps=3)
-        pool_report, pool_time = _timed(
+        pool_report, pool_time, pool_cpu = _timed(
             lambda: run_campaign(program, _CONFIG, jobs=2), reps=2)
         journal_size = os.path.getsize(journal_path)
 
@@ -127,21 +139,22 @@ def run_resilience_table() -> List[str]:
     pool_rate = pool_report.injections / pool_time
     overhead = journal_ratio - 1.0
 
-    widths = (26, 12, 10, 12, 10)
+    widths = (22, 11, 9, 11, 9, 13)
     lines = [
         format_row(("configuration", "injections", "time_s", "inj_per_s",
-                    "vs_plain"), widths),
+                    "vs_plain", "parent_cpu_s"), widths),
         "-" * 76,
         format_row(("compiled serial", plain_report.injections,
-                    plain_time, plain_rate, 1.0), widths),
+                    plain_time, plain_rate, 1.0, plain_cpu), widths),
         format_row(("+ journal (fresh)", journal_report.injections,
                     journal_time, journal_rate,
-                    journal_rate / plain_rate), widths),
+                    journal_rate / plain_rate, journal_cpu), widths),
         format_row(("+ journal (resume)", resume_report.injections,
                     resume_time, resume_rate,
-                    resume_rate / plain_rate), widths),
+                    resume_rate / plain_rate, resume_cpu), widths),
         format_row(("supervised jobs=2", pool_report.injections,
-                    pool_time, pool_rate, pool_rate / plain_rate), widths),
+                    pool_time, pool_rate, pool_rate / plain_rate,
+                    pool_cpu), widths),
         "-" * 76,
         f"journal: {journal_size} bytes for "
         f"{journal_report.injections} outcomes "
@@ -172,6 +185,13 @@ def run_resilience_table() -> List[str]:
             "resume_replay": resume_rate,
             "supervised_jobs2": pool_rate,
         },
+        "parent_cpu_s": {
+            "compiled_serial": plain_cpu,
+            "journaled": journal_cpu,
+            "resume_replay": resume_cpu,
+            "supervised_jobs2": pool_cpu,
+        },
+        "cold": True,
         "journal_overhead_fraction": overhead,
         "journal_overhead_budget": _MAX_JOURNAL_OVERHEAD,
         "bit_identical": True,

@@ -1,7 +1,7 @@
 """Shared process-pool plumbing for the parallel engines.
 
-Both parallel subsystems -- fault-injection campaigns
-(:mod:`repro.injection.parallel`) and per-block type checking
+Both process pools -- supervised fault-injection campaigns
+(:mod:`repro.injection.resilience`) and per-block type checking
 (:mod:`repro.types.parallel`) -- partition independent work items into
 contiguous chunks, fan them out over a ``fork``-preferring process pool,
 and merge results deterministically in submission order.  This module

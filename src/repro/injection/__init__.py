@@ -11,7 +11,7 @@ from repro.injection.campaign import (
     classify_tail,
     run_campaign,
 )
-from repro.injection.parallel import default_jobs, run_steps_parallel
+from repro.core.pool import default_jobs
 from repro.injection.resilience import (
     ResilienceConfig,
     ResilienceStats,
@@ -91,7 +91,6 @@ __all__ = [
     "run_faults",
     "run_multifault_campaign",
     "run_scenarios",
-    "run_steps_parallel",
     "run_steps_supervised",
     "truncate_journal_tail",
     "with_value",

@@ -26,9 +26,17 @@ with any injection point reconstructed by replaying at most
 checkpoint.  Each injection step is processed independently with an RNG
 derived from ``(seed, step_index)``, which makes the work embarrassingly
 parallel: ``run_campaign(..., jobs=N)`` partitions the injection steps
-across a process pool (:mod:`repro.injection.parallel`) and merges the
-per-step results in step order, producing a report bit-identical to the
-serial engine's.
+across a supervised process pool (:mod:`repro.injection.resilience`) and
+merges the per-step results in step order, producing a report
+bit-identical to the serial engine's.
+
+Every producer of steps -- the serial loop, a pool worker, a shard worker,
+a journal being resumed -- turns a step's outcomes into a
+:class:`StepSummary` where they were produced (:func:`summarize_step`),
+and :func:`fold_step` is the one place a summary enters the report.  A
+summary is per-step data: counts, detection latencies, the few outcomes
+the report keeps, and (when the campaign journals) the finished journal
+line, so the parent's work is per step rather than per fault.
 """
 
 from __future__ import annotations
@@ -36,7 +44,9 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field, replace as _dc_replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - types only (avoids import cycles)
     from repro.injection.chaos import ChaosSpec
@@ -695,7 +705,7 @@ def _campaign_instruments(registry=None):
     """Resolve the campaign's registry metrics once, before the merge loop.
 
     Returns ``(injections_counter, per-result counters, latency
-    histogram)``; metric lookups stay off the per-injection hot path.
+    histogram)``; metric lookups stay off the per-step fold.
     """
     reg = registry if registry is not None else get_registry()
     return (
@@ -707,40 +717,118 @@ def _campaign_instruments(registry=None):
     )
 
 
-def _merge_step(
-    report: CampaignReport,
+class StepSummary(NamedTuple):
+    """One injection step's outcomes, reduced to what the report needs."""
+
+    step: int
+    injections: int
+    #: Per-result counts, keys in order of first occurrence.
+    counts: Dict[FaultResult, int]
+    #: Detection latencies of the DETECTED runs, in outcome order.
+    latencies: List[int]
+    #: The outcomes the report keeps as records: every one under
+    #: ``keep_records``, else only the violations.
+    kept: List[StepOutcome]
+    #: The step's CRC-framed journal line, when the campaign journals.
+    line: Optional[str] = None
+
+
+def reference_tail(reference: ReferenceRun,
+                   step_index: int) -> Tuple[Tuple[int, int], ...]:
+    """The fault-free outputs after ``step_index``: what every MASKED run
+    reproduces, and what the journal's ``"="`` tail sentinel expands to."""
+    return tuple(reference.trace.outputs[
+        reference.outputs_before[step_index]:])
+
+
+def summarize_step(
     reference: ReferenceRun,
     config: CampaignConfig,
     step_index: int,
     outcomes: List[StepOutcome],
-    instruments=None,
-) -> None:
-    """Fold one step's outcomes into the report (deterministic order)."""
-    produced = reference.outputs_before[step_index]
-    counts = report.counts
-    latency_buckets = report.latency_buckets
-    if instruments is None:
-        instruments = _campaign_instruments()
-    injections_counter, result_counters, latency_hist = instruments
-    for fault, result, tail, latency in outcomes:
-        report.injections += 1
+    journaled: bool = False,
+) -> StepSummary:
+    """Reduce one step's outcomes to a :class:`StepSummary`.
+
+    Runs where the outcomes were produced, so only the summary -- and,
+    with ``journaled``, the journal line
+    (:func:`repro.injection.journal.frame_step`) -- crosses a process
+    boundary.
+    """
+    counts: Dict[FaultResult, int] = {}
+    latencies: List[int] = []
+    detected = FaultResult.DETECTED
+    for _, result, _, latency in outcomes:
         counts[result] = counts.get(result, 0) + 1
-        injections_counter.inc()
-        result_counters[result].inc()
-        if result is FaultResult.DETECTED and latency >= 0:
-            bucket = _latency_bucket(latency)
-            latency_buckets[bucket] = latency_buckets.get(bucket, 0) + 1
-            latency_hist.observe(latency)
-        is_violation = result in _VIOLATIONS
-        if config.keep_records or is_violation:
-            # The record carries the *full* output sequence; the prefix is
-            # materialized only here, never on the classification hot path.
-            full_outputs = tuple(reference.trace.outputs[:produced]) + tail
-            record = InjectionRecord(step_index, fault, result, full_outputs,
-                                     latency=latency)
-            if config.keep_records:
+        if result is detected and latency >= 0:
+            latencies.append(latency)
+    if config.keep_records:
+        kept = list(outcomes)
+    else:
+        kept = [outcome for outcome in outcomes if outcome[1] in _VIOLATIONS]
+    line = None
+    if journaled:
+        from repro.injection.journal import frame_step
+
+        line = frame_step(step_index, outcomes,
+                          reference_tail(reference, step_index))
+    return StepSummary(step_index, len(outcomes), counts, latencies, kept,
+                       line)
+
+
+def _summarized_step(
+    program: Program,
+    config: CampaignConfig,
+    reference: ReferenceRun,
+    budget: int,
+    step_index: int,
+    journaled: bool = False,
+) -> StepSummary:
+    """Run one injection step and summarise it."""
+    return summarize_step(
+        reference, config, step_index,
+        _run_step(program, config, reference, budget, step_index), journaled)
+
+
+def fold_step(
+    report: CampaignReport,
+    reference: ReferenceRun,
+    config: CampaignConfig,
+    summary: StepSummary,
+    instruments,
+) -> None:
+    """Fold one step's summary into the report.
+
+    Steps must be folded in ascending step order; records, violations,
+    counts and latency buckets then come out exactly as a per-outcome
+    pass over the whole campaign would build them.  ``instruments`` is
+    :func:`_campaign_instruments`'s result, resolved once per campaign.
+    """
+    injections_counter, result_counters, latency_hist = instruments
+    report.injections += summary.injections
+    injections_counter.inc(summary.injections)
+    counts = report.counts
+    for result, count in summary.counts.items():
+        counts[result] = counts.get(result, 0) + count
+        result_counters[result].inc(count)
+    latency_buckets = report.latency_buckets
+    for latency in summary.latencies:
+        bucket = _latency_bucket(latency)
+        latency_buckets[bucket] = latency_buckets.get(bucket, 0) + 1
+        latency_hist.observe(latency)
+    if summary.kept:
+        # Records carry the *full* output sequence; the prefix is
+        # materialized only here, never on the classification hot path.
+        step_index = summary.step
+        prefix = tuple(
+            reference.trace.outputs[:reference.outputs_before[step_index]])
+        keep_records = config.keep_records
+        for fault, result, tail, latency in summary.kept:
+            record = InjectionRecord(step_index, fault, result,
+                                     prefix + tail, latency=latency)
+            if keep_records:
                 report.records.append(record)
-            if is_violation:
+            if result in _VIOLATIONS:
                 report.violations.append(record)
 
 
@@ -869,6 +957,7 @@ def run_campaign(
         _prune.load_memo(journal_path + ".memo", program, config)
 
     remaining = [step for step in steps if step not in done_steps]
+    journaled = journal is not None
     registry = get_registry()
     instruments = _campaign_instruments(registry)
     steps_counter = registry.counter("campaign_steps_total")
@@ -885,39 +974,31 @@ def run_campaign(
 
             producer = run_steps_supervised(
                 program, config, remaining, jobs, resilience, stats,
-                reference=reference, chaos=chaos)
+                reference=reference, chaos=chaos, journaled=journaled)
         else:
-            def producer_serial():
-                for step_index in remaining:
-                    yield step_index, _run_step(
-                        program, config, reference, budget, step_index)
-            producer = producer_serial()
-        def _ref_tail(step_index: int) -> Tuple[Tuple[int, int], ...]:
-            # The fault-free outputs after the injection point: what every
-            # MASKED run reproduces, and what the journal's "=" tail
-            # sentinel expands to.
-            produced = reference.outputs_before[step_index]
-            return tuple(reference.trace.outputs[produced:])
+            producer = (
+                _summarized_step(program, config, reference, budget,
+                                 step_index, journaled)
+                for step_index in remaining)
 
         merged = 0
         total = len(steps)
         for step_index in steps:
             raw_outcomes = done_steps.get(step_index)
             if raw_outcomes is not None:
-                outcomes = _journal.decode_step(raw_outcomes,
-                                                _ref_tail(step_index))
+                summary = summarize_step(
+                    reference, config, step_index, _journal.decode_step(
+                        raw_outcomes, reference_tail(reference, step_index)))
             else:
-                produced_step, outcomes = next(producer)
-                if produced_step != step_index:  # pragma: no cover
+                summary = next(producer)
+                if summary.step != step_index:  # pragma: no cover
                     raise RuntimeError(
-                        f"campaign engine yielded step {produced_step} "
+                        f"campaign engine yielded step {summary.step} "
                         f"out of order (expected {step_index})")
                 if journal is not None:
-                    journal.append_step(step_index, outcomes,
-                                        _ref_tail(step_index))
+                    journal.append_raw(summary.line)
                     stats.journaled_steps += 1
-            _merge_step(report, reference, config, step_index, outcomes,
-                        instruments)
+            fold_step(report, reference, config, summary, instruments)
             steps_counter.inc()
             merged += 1
             if reporter is not None:

@@ -57,7 +57,10 @@ from repro.core.faults import Fault, QueueZapAddress, QueueZapValue, RegZap
 from repro.injection.campaign import (
     CampaignConfig,
     FaultResult,
+    ReferenceRun,
     StepOutcome,
+    StepSummary,
+    reference_tail,
 )
 from repro.program import Program
 
@@ -203,15 +206,32 @@ def decode_step(raw_outcomes: List,
     return [_outcome_from_json(data, ref_tail) for data in raw_outcomes]
 
 
-def encode_step(outcomes: List[StepOutcome],
-                ref_tail: Optional[Tuple[Tuple[int, int], ...]] = None,
-                ) -> List:
-    """Encode one step's outcomes as the raw ``out`` payload
-    :func:`decode_step` accepts -- the journal line format doubling as
-    the shard worker protocol's wire format, so streamed shard results
-    and journaled steps share one codec (``"="`` tail sentinel included).
-    """
-    return [_outcome_to_json(outcome, ref_tail) for outcome in outcomes]
+def encode_summary(summary: StepSummary, reference: ReferenceRun) -> List:
+    """A :class:`~repro.injection.campaign.StepSummary` as JSON (the shard
+    protocol's ``sum`` field), kept outcomes in the journal's outcome
+    codec; the step index and journal line travel beside it."""
+    kept = []
+    if summary.kept:
+        ref_tail = reference_tail(reference, summary.step)
+        kept = [_outcome_to_json(outcome, ref_tail)
+                for outcome in summary.kept]
+    return [summary.injections,
+            {result.value: count for result, count in summary.counts.items()},
+            summary.latencies, kept]
+
+
+def decode_summary(step_index: int, data: List,
+                   reference: ReferenceRun) -> StepSummary:
+    """Inverse of :func:`encode_summary` (the journal line is not part of
+    the encoding)."""
+    injections, counts, latencies, kept = data
+    if kept:
+        ref_tail = reference_tail(reference, step_index)
+        kept = [_outcome_from_json(entry, ref_tail) for entry in kept]
+    return StepSummary(
+        step_index, int(injections),
+        {FaultResult(result): int(count) for result, count in counts.items()},
+        [int(latency) for latency in latencies], kept)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +269,20 @@ def _unframe(line: str) -> Optional[object]:
 def _header_payload(prog_digest: str, conf_digest: str) -> Dict:
     return {"magic": _MAGIC, "version": _VERSION,
             "program": prog_digest, "config": conf_digest}
+
+
+def frame_step(step_index: int, outcomes: List[StepOutcome],
+               ref_tail: Optional[Tuple[Tuple[int, int], ...]] = None,
+               ) -> str:
+    """The journal line recording one completed injection step.
+
+    ``ref_tail`` (the reference outputs after this step) enables the
+    ``"="`` tail compression; the reader must supply the same tail to
+    :func:`decode_step`.  Whichever process ran the step frames its line,
+    and the journal writer appends it verbatim.
+    """
+    return _frame({"step": step_index,
+                   "out": [_outcome_to_json(o, ref_tail) for o in outcomes]})
 
 
 # ---------------------------------------------------------------------------
@@ -292,21 +326,15 @@ class CampaignJournal:
     def append_step(self, step_index: int, outcomes: List[StepOutcome],
                     ref_tail: Optional[Tuple[Tuple[int, int], ...]] = None,
                     ) -> None:
-        """Durably record one completed injection step.  ``ref_tail`` (the
-        reference outputs after this step) enables the ``"="`` tail
-        compression; the reader must supply the same tail to
-        :func:`decode_step`."""
-        payload = {"step": step_index,
-                   "out": [_outcome_to_json(o, ref_tail) for o in outcomes]}
-        self._write_line(_frame(payload))
-        self.appended_steps += 1
-        self._appends_counter.inc()
+        """Durably record one completed injection step from its outcomes
+        (framed by :func:`frame_step`)."""
+        self.append_raw(frame_step(step_index, outcomes, ref_tail))
 
-    def append_raw(self, step_index: int, raw_outcomes: List) -> None:
-        """Durably record one step from its already-encoded ``out`` payload
-        (:func:`encode_step`'s output) -- the shard coordinator journals
-        wire payloads verbatim, no decode/re-encode round trip."""
-        self._write_line(_frame({"step": step_index, "out": raw_outcomes}))
+    def append_raw(self, line: str) -> None:
+        """Durably record one step from its already-framed journal line
+        (:func:`frame_step`'s output, :attr:`StepSummary.line`) --
+        campaigns append the line their producer framed, verbatim."""
+        self._write_line(line)
         self.appended_steps += 1
         self._appends_counter.inc()
 

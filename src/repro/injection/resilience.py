@@ -1,9 +1,8 @@
 """Worker supervision for crash-safe campaign pools.
 
-The plain pool path (:mod:`repro.injection.parallel`) trusts its workers:
-no deadlines, no retries, and a single killed or hung process aborts the
-whole campaign.  This module is the supervised replacement that
-``run_campaign`` layers its process pool on.  It exploits the same
+``run_campaign`` fans injection steps out over the supervised process
+pool in this module: a killed or hung worker costs a retry, never the
+campaign.  Supervision exploits the same
 determinism contract as everything else in the engine -- per-step RNG
 seeded by ``(seed, step_index)`` makes every chunk of injection steps
 re-executable on any process at any time with identical results -- so
@@ -24,6 +23,11 @@ single bit of the report:
   execution, so the campaign *completes* (slower) rather than aborts;
 * every event is counted in a :class:`ResilienceStats` attached to the
   final :class:`~repro.injection.campaign.CampaignReport`.
+
+Workers summarise each step where they ran it
+(:func:`repro.injection.campaign.summarize_step`) and, when the parent
+journals, frame its journal line too, so a chunk's result is a handful of
+numbers per step rather than one tuple per fault.
 
 Workers re-warm their compiled-program cache on (re)start: the pool
 initializer calls :func:`repro.exec.cache.warm_program` before rebuilding
@@ -56,7 +60,7 @@ from repro.core.pool import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.injection.campaign import CampaignConfig, StepOutcome
+    from repro.injection.campaign import CampaignConfig, StepSummary
     from repro.injection.chaos import ChaosSpec
     from repro.program import Program
 
@@ -136,13 +140,15 @@ def _sup_init_worker(
     config: "CampaignConfig",
     chaos: "Optional[ChaosSpec]",
     memo_entries=None,
+    journaled: bool = False,
 ) -> None:
     """Pool initializer: re-warm the exec cache, rebuild the reference.
 
     Runs once per worker process, including every process of every
     *rebuilt* pool -- a restarted worker warms its compiled-program cache
     (inherited for free under ``fork``, recompiled once under ``spawn``)
-    before deriving the checkpointed reference run.
+    before deriving the checkpointed reference run.  ``journaled`` tells
+    the worker to frame each step's journal line.
     """
     global _SUP_CONTEXT
     from repro.exec.cache import warm_program
@@ -161,43 +167,51 @@ def _sup_init_worker(
         warm_program(program.boot().code, config.oob_policy)
     reference = _reference_run(program, config)
     budget = reference.trace.steps + config.step_slack
-    _SUP_CONTEXT = (program, config, reference, budget, chaos)
+    _SUP_CONTEXT = (program, config, reference, budget, chaos, journaled)
+
+
+def _run_chunk_summaries(program, config, reference, budget, step_indices,
+                         journaled):
+    """One chunk's step summaries plus its telemetry delta."""
+    from repro.injection.campaign import _summarized_step
+
+    started = time.perf_counter()
+    summaries = [
+        _summarized_step(program, config, reference, budget, step_index,
+                         journaled)
+        for step_index in step_indices
+    ]
+    telemetry = {
+        "seconds": time.perf_counter() - started,
+        "steps": len(summaries),
+        "injections": sum(summary.injections for summary in summaries),
+    }
+    return summaries, telemetry
 
 
 def _sup_run_chunk(
     chunk_index: int,
     step_indices: Sequence[int],
-) -> Tuple[List[Tuple[int, "List[StepOutcome]"]], Dict[str, float]]:
+) -> Tuple[List["StepSummary"], Dict[str, float]]:
     """Worker body: one chunk of injection steps, chaos applied first.
 
-    Returns ``(pairs, telemetry)``: the per-step outcomes plus a small
-    per-chunk telemetry delta (wall seconds, steps, injections) that the
-    supervisor folds into the parent's metrics registry.  Shipping deltas
-    -- not whole registry snapshots -- keeps retried chunks from
+    Returns ``(summaries, telemetry)``: the per-step summaries plus a
+    small per-chunk telemetry delta (wall seconds, steps, injections) that
+    the supervisor folds into the parent's metrics registry.  Shipping
+    deltas -- not whole registry snapshots -- keeps retried chunks from
     double-counting: only the delta of the attempt whose result is kept
     is ever folded.
     """
-    from repro.injection.campaign import _run_step
-
-    program, config, reference, budget, chaos = _SUP_CONTEXT
+    program, config, reference, budget, chaos, journaled = _SUP_CONTEXT
     if chaos is not None:
         chaos.apply_in_worker(chunk_index)
-    started = time.perf_counter()
-    pairs = [
-        (step_index,
-         _run_step(program, config, reference, budget, step_index))
-        for step_index in step_indices
-    ]
-    telemetry = {
-        "seconds": time.perf_counter() - started,
-        "steps": len(pairs),
-        "injections": sum(len(outcomes) for _, outcomes in pairs),
-    }
+    summaries, telemetry = _run_chunk_summaries(
+        program, config, reference, budget, step_indices, journaled)
     if config.prune:
         from repro.injection.prune import drain_new_entries
 
         telemetry["memo_new"] = drain_new_entries(program, config)
-    return pairs, telemetry
+    return summaries, telemetry
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +238,15 @@ def run_steps_supervised(
     stats: Optional[ResilienceStats] = None,
     reference=None,
     chaos: "Optional[ChaosSpec]" = None,
-) -> Iterator[Tuple[int, "List[StepOutcome]"]]:
+    journaled: bool = False,
+) -> Iterator["StepSummary"]:
     """Run injection steps across a *supervised* process pool.
 
-    Yields ``(step_index, outcomes)`` in ascending step order, exactly
-    like the serial loop and :func:`repro.injection.parallel.
-    run_steps_parallel`, so the caller's merge (and journal) stay
-    deterministic.  ``reference`` may pass in the parent's already-built
+    Yields one :class:`~repro.injection.campaign.StepSummary` per step in
+    ascending step order, exactly like the serial loop, so the caller's
+    fold (and journal) stay deterministic.  With ``journaled`` every
+    summary carries its framed journal line.  ``reference`` may pass in
+    the parent's already-built
     :class:`~repro.injection.campaign.ReferenceRun` so serial fallback
     does not recompute it.
 
@@ -238,7 +254,7 @@ def run_steps_supervised(
     step indices (per-step RNG), so re-execution after a timeout, crash or
     fallback reproduces the lost outcomes bit-for-bit.
     """
-    from repro.injection.campaign import _reference_run, _run_step
+    from repro.injection.campaign import _reference_run, _summarized_step
     from repro.observe import emit as _emit_event, get_registry
 
     resilience = resilience or ResilienceConfig()
@@ -277,8 +293,8 @@ def run_steps_supervised(
     if jobs <= 1:
         ref, budget = serial_context()
         for step_index in steps:
-            yield (step_index,
-                   _run_step(program, config, ref, budget, step_index))
+            yield _summarized_step(program, config, ref, budget, step_index,
+                                   journaled)
         return
 
     chunks = _chunk(steps, jobs * _CHUNKS_PER_WORKER)
@@ -289,17 +305,8 @@ def run_steps_supervised(
 
     def run_chunk_inline(index: int) -> None:
         ref, budget = serial_context()
-        started = time.perf_counter()
-        pairs = [
-            (step_index,
-             _run_step(program, config, ref, budget, step_index))
-            for step_index in chunks[index]
-        ]
-        results[index] = (pairs, {
-            "seconds": time.perf_counter() - started,
-            "steps": len(pairs),
-            "injections": sum(len(outcomes) for _, outcomes in pairs),
-        })
+        results[index] = _run_chunk_summaries(
+            program, config, ref, budget, chunks[index], journaled)
         done[index] = True
 
     def make_pool() -> ProcessPoolExecutor:
@@ -314,7 +321,7 @@ def run_steps_supervised(
             max_workers=jobs,
             mp_context=_mp_context(),
             initializer=_sup_init_worker,
-            initargs=(program, config, chaos, memo_entries),
+            initargs=(program, config, chaos, memo_entries, journaled),
         )
 
     def submit_pending(pool) -> Dict[int, object]:
@@ -390,9 +397,9 @@ def run_steps_supervised(
                     if not resilience.serial_fallback:
                         raise
                     pool_is_serial = True
-            pairs, telemetry = results[index]
+            summaries, telemetry = results[index]
             _fold_telemetry(telemetry)
-            yield from pairs
+            yield from summaries
             results[index] = None  # free the chunk's outcome memory early
     finally:
         if pool is not None:

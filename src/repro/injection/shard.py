@@ -20,8 +20,9 @@ The pieces here are pure planning and merging; the socket fleet lives in
   resumable and shard re-execution (work stealing, dead-worker reissue)
   free to happen anywhere.
 * :func:`merge_outcomes` -- the order-insensitive merge: per-step
-  outcomes may arrive in any order from any worker, but folding them in
-  ascending step order replays exactly the serial engine's merge loop.
+  summaries (:class:`~repro.injection.campaign.StepSummary`) may arrive
+  in any order from any worker, but folding them in ascending step order
+  replays exactly the serial engine's fold.
 * :func:`merge_journal_files` / :func:`reconstruct_report` -- offline
   tooling (CLI: ``talft journal merge``): union shard journals into one
   combined journal a plain ``talft campaign --journal X --resume`` can
@@ -47,12 +48,14 @@ from repro.injection.campaign import (
     CampaignConfig,
     CampaignReport,
     ReferenceRun,
-    StepOutcome,
+    StepSummary,
     _campaign_instruments,
     _injection_steps,
-    _merge_step,
     _reference_run,
+    fold_step,
+    reference_tail,
     resolve_backend_config,
+    summarize_step,
 )
 from repro.injection.journal import (
     JournalMismatch,
@@ -147,13 +150,13 @@ def merge_outcomes(
     reference: ReferenceRun,
     config: CampaignConfig,
     steps: Sequence[int],
-    done: Dict[int, List[StepOutcome]],
+    done: Dict[int, StepSummary],
 ) -> CampaignReport:
-    """Fold per-step outcomes -- gathered in *any* order -- into the exact
-    single-process :class:`CampaignReport`.
+    """Fold per-step summaries -- gathered in *any* order -- into the
+    exact single-process :class:`CampaignReport`.
 
-    ``done`` maps every step in ``steps`` to its outcomes; folding in
-    ascending step order replays the serial merge loop, so records,
+    ``done`` maps every step in ``steps`` to its summary; folding in
+    ascending step order replays the serial fold, so records,
     counts, violations and ``latency_buckets`` all come out bit-identical
     regardless of which worker produced which step when.  Raises
     ``ValueError`` when coverage is incomplete -- a sharded campaign must
@@ -168,8 +171,7 @@ def merge_outcomes(
     report = CampaignReport(reference=reference.trace)
     instruments = _campaign_instruments()
     for step_index in steps:
-        _merge_step(report, reference, config, step_index, done[step_index],
-                    instruments)
+        fold_step(report, reference, config, done[step_index], instruments)
     return report
 
 
@@ -230,8 +232,9 @@ def load_shard_steps(
     config: CampaignConfig,
     paths: Sequence[str],
     reference: ReferenceRun,
-) -> Tuple[Dict[int, List[StepOutcome]], int]:
-    """Decode every journaled step from ``paths``, identity-verified.
+) -> Tuple[Dict[int, StepSummary], int]:
+    """Decode and summarise every journaled step from ``paths``,
+    identity-verified.
 
     Returns ``(done_steps, corrupt_lines)``; steps outside the campaign's
     sampled set are ignored (a journal from a wider run may seed a
@@ -240,17 +243,17 @@ def load_shard_steps(
     prog_digest = program_digest(program)
     conf_digest = config_digest(config)
     wanted = set(_injection_steps(reference.num_steps, config))
-    outputs_before = reference.outputs_before
-    ref_outputs = reference.trace.outputs
-    done: Dict[int, List[StepOutcome]] = {}
+    done: Dict[int, StepSummary] = {}
     corrupt = 0
     for path in paths:
         load = load_journal(path, prog_digest, conf_digest)
         corrupt += load.corrupt_lines
         for step_index, raw in load.steps.items():
             if step_index in wanted and step_index not in done:
-                tail = tuple(ref_outputs[outputs_before[step_index]:])
-                done[step_index] = decode_step(raw, tail)
+                outcomes = decode_step(
+                    raw, reference_tail(reference, step_index))
+                done[step_index] = summarize_step(reference, config,
+                                                  step_index, outcomes)
     return done, corrupt
 
 

@@ -24,7 +24,9 @@ Scheduling model:
   in-process serial execution when retries exhaust or the fleet is gone
   -- the campaign *completes*, never aborts;
 * every streamed step is appended to its planned shard's journal
-  (``<journal>.shard-NNN-of-NNN``) before being counted done, so an
+  (``<journal>.shard-NNN-of-NNN``) before being counted done -- the
+  worker frames the journal line, the coordinator writes it verbatim and
+  keeps only the step's summary -- so an
   interrupted sharded campaign resumes from partial shard journals --
   and a *single-process* resume of the offline-merged journal
   (``talft journal merge``) reconstructs the same report.
@@ -52,10 +54,10 @@ from repro.core.pool import mp_context
 from repro.injection.campaign import (
     CampaignConfig,
     CampaignReport,
-    StepOutcome,
+    StepSummary,
     _injection_steps,
     _reference_run,
-    _run_step,
+    _summarized_step,
     require_halted,
     resolve_backend_config,
 )
@@ -63,7 +65,7 @@ from repro.injection.chaos import ChaosSpec
 from repro.injection.journal import (
     CampaignJournal,
     config_digest,
-    decode_step,
+    decode_summary,
     program_digest,
     resume_journal,
 )
@@ -81,6 +83,7 @@ from repro.injection.shard import (
 from repro.observe import ProgressReporter, emit, get_registry, phase_timer
 from repro.program import Program
 from repro.service.protocol import (
+    PROTOCOL_VERSION,
     Connection,
     ProtocolError,
     coordinator_mac,
@@ -203,13 +206,10 @@ def run_campaign_sharded(
     total = len(steps)
     prog_digest = program_digest(program)
     conf_digest = config_digest(config)
+    journaled = journal_path is not None
 
-    def _ref_tail(step_index: int) -> Tuple[Tuple[int, int], ...]:
-        produced = reference.outputs_before[step_index]
-        return tuple(reference.trace.outputs[produced:])
-
-    #: Decoded outcomes of every completed step -- from resume or the wire.
-    done: Dict[int, List[StepOutcome]] = {}
+    #: The summary of every completed step -- from resume or the wire.
+    done: Dict[int, StepSummary] = {}
     if journal_path is not None and resume:
         from repro.injection.shard import load_shard_steps
 
@@ -251,15 +251,17 @@ def run_campaign_sharded(
                                                       conf_digest)
         return state.journal
 
-    def _complete_step(state: _Shard, step_index: int, raw: List) -> None:
+    def _complete_step(state: _Shard, summary: StepSummary,
+                       line: Optional[str]) -> None:
         nonlocal outstanding
+        step_index = summary.step
         if step_index in done:
             return  # duplicate from a steal race
         journal = _journal_for(state)
         if journal is not None:
-            journal.append_raw(step_index, raw)
+            journal.append_raw(line)
             stats.journaled_steps += 1
-        done[step_index] = decode_step(raw, _ref_tail(step_index))
+        done[step_index] = summary
         state.remaining.discard(step_index)
         outstanding -= 1
         instr_steps.inc()
@@ -270,14 +272,11 @@ def run_campaign_sharded(
 
     def _run_inline(state: _Shard) -> None:
         """Serial in-process fallback for one shard's unfinished tail."""
-        from repro.injection.journal import encode_step
-
         stats.fallback_chunks += 1
         for step_index in sorted(state.remaining):
-            outcomes = _run_step(program, config, reference, budget,
-                                 step_index)
-            _complete_step(state, step_index,
-                           encode_step(outcomes, _ref_tail(step_index)))
+            summary = _summarized_step(program, config, reference, budget,
+                                       step_index, journaled)
+            _complete_step(state, summary, summary.line)
 
     fleet: List[_Worker] = []
     listener = None
@@ -324,16 +323,21 @@ def run_campaign_sharded(
 
             # Handshake every connection synchronously (no reader thread
             # exists yet) before any pickled job payload flows: read the
-            # hello, and with a fleet key exchange the HMAC challenge
-            # response.  A worker that fails is closed and dropped from
-            # scheduling -- the survivors (or the serial fallback) still
-            # complete the campaign.
+            # hello, check its protocol version, and with a fleet key
+            # exchange the HMAC challenge response.  A worker that fails
+            # is closed and dropped from scheduling -- the survivors (or
+            # the serial fallback) still complete the campaign.
             for worker in fleet:
                 try:
                     worker.conn.settimeout(CONNECT_TIMEOUT)
                     hello = worker.conn.recv()
                     if hello is None or hello.get("type") != "hello":
                         raise ProtocolError("worker did not say hello")
+                    if hello.get("protocol") != PROTOCOL_VERSION:
+                        raise ProtocolError(
+                            f"worker speaks protocol "
+                            f"{hello.get('protocol')}, expected "
+                            f"{PROTOCOL_VERSION}")
                     worker.host = hello.get("host")
                     if fleet_key is not None:
                         nonce = make_nonce()
@@ -369,6 +373,7 @@ def run_campaign_sharded(
                         "config": pack_pickle(config),
                         "program_digest": prog_digest,
                         "config_digest": conf_digest,
+                        "journal": journaled,
                         "die_after_steps": die_after,
                     })
                 except OSError:
@@ -514,7 +519,11 @@ def run_campaign_sharded(
             kind = message["type"]
             if kind == "step":
                 state = shard_states[message["shard"]]
-                _complete_step(state, message["step"], message["out"])
+                _complete_step(
+                    state,
+                    decode_summary(message["step"], message["sum"],
+                                   reference),
+                    message.get("line"))
             elif kind == "shard-done":
                 index = message["shard"]
                 shard_states[index].owners.discard(worker.index)

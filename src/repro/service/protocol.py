@@ -2,24 +2,31 @@
 
 One frame = a 4-byte big-endian payload length followed by that many
 bytes of UTF-8 JSON.  Every message is a JSON object with a ``"type"``
-key; the step-outcome payloads reuse the campaign journal's codec
-(:func:`repro.injection.journal.encode_step`), so a streamed shard
-result and a journaled step are byte-for-byte the same encoding --
-one codec, one set of round-trip tests.
+key.
 
 Message flow (worker side initiates nothing; it answers):
 
-* worker -> coordinator: ``hello`` (host label, pid, auth nonce) on
-  connect;
+* worker -> coordinator: ``hello`` (host label, pid, auth nonce and
+  :data:`PROTOCOL_VERSION`) on connect.  The coordinator drops a worker
+  whose version is missing or different, as it drops one that fails
+  authentication;
 * with a fleet key: coordinator -> worker ``auth`` (HMAC challenge
   response), worker -> coordinator ``auth-ok`` -- **before** any pickled
   payload is sent or accepted (see *Fleet authentication* below);
 * coordinator -> worker: ``job`` (base64-pickled program + config,
-  identity digests, chaos directives), then any number of ``shard``
-  assignments, then ``shutdown``;
+  identity digests, whether the campaign journals, chaos directives),
+  then any number of ``shard`` assignments, then ``shutdown``;
 * worker -> coordinator: a ``step`` per completed injection step, a
   ``shard-done`` per finished assignment, and a final ``bye`` carrying
   the worker's metrics registry for host-labelled merging.
+
+A ``step`` message carries the step's summary as JSON in ``sum``
+(:func:`repro.injection.journal.encode_summary`: counts, detection
+latencies and the outcomes the report keeps, in the journal's outcome
+codec) and, when the job journals, the step's finished CRC-framed
+journal line in ``line``, which the coordinator appends verbatim.  Only
+JSON crosses the wire in this direction: network bytes never reach
+``pickle``.
 
 Program/config travel as ``base64(pickle)`` inside the JSON envelope --
 :class:`~repro.program.Program` already pickles across the supervised
@@ -42,6 +49,11 @@ import struct
 from typing import Any, Dict, Optional
 
 from repro.core.errors import ReproError
+
+#: The protocol version a worker announces in its ``hello``.  Version 2
+#: replaced the per-fault ``out`` list of ``step`` messages with ``sum``
+#: and ``line``.
+PROTOCOL_VERSION = 2
 
 #: Frames above this are a protocol violation, not a campaign -- guards
 #: against garbage on the port being interpreted as a gigabyte read.

@@ -3,13 +3,13 @@
 A worker is one process holding one coordinator connection.  It is
 deliberately stateless across campaigns: everything it needs arrives in
 the ``job`` message (base64-pickled program + config, identity digests),
-and everything it produces leaves as ``step`` messages encoded with the
-campaign journal's own codec -- the coordinator can append the payloads
-to shard journals verbatim.
+and everything it produces leaves as ``step`` messages: a JSON step
+summary plus, when the job journals, the finished journal line the
+coordinator appends to its shard journal verbatim.
 
 Determinism contract: a worker executes
-:func:`repro.injection.campaign._run_step` exactly as the serial engine
-would -- per-step RNG seeded by ``(seed, step_index)`` -- so *which*
+:func:`repro.injection.campaign._summarized_step` exactly as the serial
+engine would -- per-step RNG seeded by ``(seed, step_index)`` -- so *which*
 worker runs a step never matters.  On (re)start the worker re-warms the
 compiled-program cache (free under ``fork``, one compile under
 ``spawn``/TCP) and rebuilds the checkpointed reference run, mirroring
@@ -37,6 +37,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.observe import MetricsRegistry, emit, host_label, set_registry
 from repro.service.protocol import (
     AUTHKEY_ENV,
+    PROTOCOL_VERSION,
     Connection,
     ProtocolError,
     coordinator_mac,
@@ -69,14 +70,13 @@ class _WorkerState:
             warm_program(self.program.boot().code, self.config.oob_policy)
         self.reference = _reference_run(self.program, self.config)
         self.budget = self.reference.trace.steps + self.config.step_slack
+        #: Whether the coordinator journals: each step then ships its
+        #: framed journal line.
+        self.journaled = bool(message.get("journal"))
         #: Chaos directive: SIGKILL self after sending this many step
         #: results (``None`` = healthy worker).
         self.die_after_steps: Optional[int] = message.get("die_after_steps")
         self.steps_sent = 0
-
-    def ref_tail(self, step_index: int) -> Tuple[Tuple[int, int], ...]:
-        produced = self.reference.outputs_before[step_index]
-        return tuple(self.reference.trace.outputs[produced:])
 
 
 def serve_connection(sock: socket.socket,
@@ -94,8 +94,8 @@ def serve_connection(sock: socket.socket,
     the coordinator's counters otherwise, which would double-count once
     the final ``bye`` metrics are merged back host-labelled).
     """
-    from repro.injection.campaign import _run_step
-    from repro.injection.journal import encode_step
+    from repro.injection.campaign import _summarized_step
+    from repro.injection.journal import encode_summary
 
     registry = MetricsRegistry()
     set_registry(registry)
@@ -107,7 +107,7 @@ def serve_connection(sock: socket.socket,
     nonce = make_nonce()
     try:
         conn.send({"type": "hello", "host": host, "pid": os.getpid(),
-                   "nonce": nonce})
+                   "nonce": nonce, "protocol": PROTOCOL_VERSION})
         if authkey is not None:
             challenge = conn.recv()
             if challenge is None:
@@ -139,13 +139,15 @@ def serve_connection(sock: socket.socket,
                     raise ProtocolError("shard assignment before job")
                 shard_index = message["shard"]
                 for step_index in message["steps"]:
-                    outcomes = _run_step(state.program, state.config,
-                                         state.reference, state.budget,
-                                         step_index)
-                    conn.send({"type": "step", "shard": shard_index,
-                               "step": step_index,
-                               "out": encode_step(
-                                   outcomes, state.ref_tail(step_index))})
+                    summary = _summarized_step(
+                        state.program, state.config, state.reference,
+                        state.budget, step_index, state.journaled)
+                    reply = {"type": "step", "shard": shard_index,
+                             "step": step_index,
+                             "sum": encode_summary(summary, state.reference)}
+                    if summary.line is not None:
+                        reply["line"] = summary.line
+                    conn.send(reply)
                     steps_counter.inc()
                     state.steps_sent += 1
                     if state.die_after_steps is not None and \

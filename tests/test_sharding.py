@@ -50,6 +50,7 @@ from repro.injection.shard import (
 from repro.service import run_campaign_sharded
 from repro.service.protocol import (
     AUTHKEY_ENV,
+    PROTOCOL_VERSION,
     Connection,
     ProtocolError,
     coordinator_mac,
@@ -122,7 +123,7 @@ class TestPlanner:
 
 class TestMergeOutcomes:
     def test_any_arrival_order_merges_identically(self):
-        from repro.injection.campaign import _run_step
+        from repro.injection.campaign import _summarized_step
 
         program = _program()
         config = resolve_backend_config(program, CONFIG)
@@ -130,7 +131,8 @@ class TestMergeOutcomes:
         reference = _reference_run(program, config)
         steps = _injection_steps(reference.num_steps, config)
         budget = reference.trace.steps + config.step_slack
-        done = {step: _run_step(program, config, reference, budget, step)
+        done = {step: _summarized_step(program, config, reference, budget,
+                                       step)
                 for step in reversed(steps)}  # gathered "backwards"
         report = merge_outcomes(reference, config, steps, done)
         assert report_fingerprint(report) == report_fingerprint(base)
@@ -340,7 +342,8 @@ class TestShardedResilience:
             sock, _ = listener.accept()
             conn = Connection(sock)
             conn.send({"type": "hello", "host": "hung", "pid": 0,
-                       "nonce": make_nonce()})
+                       "nonce": make_nonce(),
+                       "protocol": PROTOCOL_VERSION})
             try:
                 # Swallow the job and shard assignment, produce nothing.
                 while conn.recv() is not None:
@@ -509,6 +512,75 @@ class TestFleetAuth:
             assert proc.wait(timeout=30) == 0
         finally:
             if proc.poll() is None:
+                proc.kill()
+
+
+    @pytest.mark.parametrize("version,with_current_worker",
+                             [(None, True), (1, False)])
+    def test_protocol_mismatch_is_dropped_with_parity(self, version,
+                                                      with_current_worker):
+        """A worker from another build -- a hello with no or another
+        protocol version -- is dropped at the handshake, before any job
+        reaches it; the current worker, or else the serial fallback,
+        finishes the campaign bit-identically."""
+        program = _program()
+        base = run_campaign(program, CONFIG)
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        received = []
+
+        def _old_worker():
+            sock, _ = listener.accept()
+            conn = Connection(sock)
+            hello = {"type": "hello", "host": "old", "pid": 0,
+                     "nonce": make_nonce()}
+            if version is not None:
+                hello["protocol"] = version
+            conn.send(hello)
+            try:
+                while True:
+                    message = conn.recv()
+                    if message is None:
+                        break
+                    received.append(message["type"])
+            except (ProtocolError, OSError):
+                pass
+
+        thread = threading.Thread(target=_old_worker, daemon=True)
+        thread.start()
+        workers = [listener.getsockname()]
+        proc = None
+        try:
+            if with_current_worker:
+                env = dict(os.environ)
+                env["PYTHONPATH"] = os.pathsep.join(
+                    [os.path.join(os.path.dirname(__file__), "..", "src"),
+                     env.get("PYTHONPATH", "")])
+                proc = subprocess.Popen(
+                    [sys.executable, "-m", "repro.cli", "shard-worker",
+                     "--listen", "127.0.0.1:0", "--once"],
+                    stdout=subprocess.PIPE, text=True, env=env)
+                match = re.search(r"listening on ([\d.]+):(\d+)",
+                                  proc.stdout.readline())
+                assert match
+                workers.append((match.group(1), int(match.group(2))))
+            sharded = run_campaign_sharded(program, CONFIG, shards=2,
+                                           workers=workers)
+            thread.join(timeout=10)
+            assert report_fingerprint(sharded) == report_fingerprint(base)
+            assert sharded.latency_buckets == base.latency_buckets
+            assert received == []  # never sent a job, nor anything else
+            stats = sharded.resilience
+            assert stats.shard_worker_deaths == 0
+            if with_current_worker:
+                assert stats.fallback_chunks == 0
+                assert proc.wait(timeout=30) == 0
+            else:
+                assert stats.fallback_chunks >= 1
+        finally:
+            listener.close()
+            if proc is not None and proc.poll() is None:
                 proc.kill()
 
 
